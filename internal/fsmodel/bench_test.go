@@ -8,13 +8,12 @@ import (
 	"repro/internal/machine"
 )
 
-// BenchmarkAnalyzeHotPath compares the evaluation pipelines on the
-// heat-diffusion kernel at paper-scale trip counts, the FS-inducing
-// chunk, and the paper's 48-thread team: the compiled access-run executor
-// (the default) against the per-iteration interpreter, both on the dense
-// backend, plus the map backend as the PR-1 baseline data structure.
-// allocs/op on the dense paths is the per-run setup only — the per-access
-// path allocates nothing.
+// BenchmarkAnalyzeHotPath measures the evaluator on the heat-diffusion
+// kernel at paper-scale trip counts, the FS-inducing chunk, and the
+// paper's 48-thread team, on each per-thread state: the dense lazy state
+// Analyze picks for this kernel, and the map state it falls back to for
+// sparse windows and the set-associative ablation. allocs/op on the dense
+// path is the per-run setup only — the per-access path allocates nothing.
 func BenchmarkAnalyzeHotPath(b *testing.B) {
 	kern, err := kernels.Heat(kernels.DefaultHeatRows, kernels.DefaultHeatCols)
 	if err != nil {
@@ -22,26 +21,18 @@ func BenchmarkAnalyzeHotPath(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name    string
-		backend StateBackend
-		eval    EvalMode
+		mapOnly bool
 	}{
-		// "dense" keeps the PR-1 series name: the default pipeline on the
-		// dense backend, which now resolves to the compiled executor.
-		{"dense", BackendDense, EvalAuto},
-		{"compiled", BackendDense, EvalCompiled},
-		{"interpreted", BackendDense, EvalInterpreted},
-		{"map", BackendMap, EvalInterpreted},
+		{"dense", false},
+		{"map", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			opts := Options{
-				Machine: machine.Paper48(), NumThreads: 48, Chunk: kernels.HeatFSChunk,
-				Backend: bc.backend, Eval: bc.eval,
-			}
+			opts := Options{Machine: machine.Paper48(), NumThreads: 48, Chunk: kernels.HeatFSChunk}
 			var accesses int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Analyze(kern.Nest, opts)
+				res, err := evaluate(kern.Nest, opts, bc.mapOnly)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -112,7 +103,7 @@ func BenchmarkAnalyzeBudgetOverhead(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := Options{
 				Machine: machine.Paper48(), NumThreads: 48, Chunk: kernels.HeatFSChunk,
-				Backend: BackendDense, Budget: bc.budget,
+				Budget: bc.budget,
 			}
 			var accesses int64
 			b.ReportAllocs()
@@ -137,20 +128,20 @@ func BenchmarkAnalyzeHotPathMESI(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name    string
-		backend StateBackend
+		mapOnly bool
 	}{
-		{"dense", BackendDense},
-		{"map", BackendMap},
+		{"dense", false},
+		{"map", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := Options{
 				Machine: machine.Paper48(), NumThreads: 16, Chunk: kernels.DFTFSChunk,
-				Counting: CountMESI, Backend: bc.backend,
+				Counting: CountMESI,
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Analyze(kern.Nest, opts); err != nil {
+				if _, err := evaluate(kern.Nest, opts, bc.mapOnly); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -55,12 +55,11 @@ func TestBudgetMaxStepsStopsDeterministically(t *testing.T) {
 
 // TestBudgetDoesNotPerturbResults pins the contract that a budget which
 // never trips changes nothing: FS counts and every other field match the
-// unbudgeted run exactly, on both backends.
+// unbudgeted run exactly, on both per-thread states.
 func TestBudgetDoesNotPerturbResults(t *testing.T) {
 	kern, opts := heatOpts(t)
-	for _, backend := range []StateBackend{BackendDense, BackendMap} {
-		opts.Backend = backend
-		base, err := Analyze(kern.Nest, opts)
+	for _, mapOnly := range []bool{false, true} {
+		base, err := evaluate(kern.Nest, opts, mapOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,13 +68,13 @@ func TestBudgetDoesNotPerturbResults(t *testing.T) {
 			MaxStateBytes: 1 << 40,
 			Deadline:      time.Now().Add(time.Hour),
 		}
-		got, err := Analyze(kern.Nest, opts)
+		got, err := evaluate(kern.Nest, opts, mapOnly)
 		if err != nil {
-			t.Fatalf("%v: budgeted run failed: %v", backend, err)
+			t.Fatalf("mapOnly=%v: budgeted run failed: %v", mapOnly, err)
 		}
 		if got.FSCases != base.FSCases || got.Accesses != base.Accesses ||
 			got.Iterations != base.Iterations || got.ColdMisses != base.ColdMisses {
-			t.Fatalf("%v: budgeted run diverged: %+v vs %+v", backend, got, base)
+			t.Fatalf("mapOnly=%v: budgeted run diverged: %+v vs %+v", mapOnly, got, base)
 		}
 		opts.Budget = guard.Budget{}
 	}
@@ -91,13 +90,6 @@ func TestBudgetStateBytesFallsBackThenTrips(t *testing.T) {
 	if !errors.As(err, &be) || be.Resource != "state-bytes" {
 		t.Fatalf("err = %v, want *guard.BudgetError{state-bytes}", err)
 	}
-
-	// Forcing the dense backend under the same budget must refuse
-	// upfront rather than allocate over it.
-	opts.Backend = BackendDense
-	if _, err := Analyze(kern.Nest, opts); !errors.Is(err, guard.ErrBudgetExceeded) {
-		t.Fatalf("forced dense under tiny state budget = %v, want budget exceeded", err)
-	}
 }
 
 func TestBudgetGenerousStateBytesKeepsDense(t *testing.T) {
@@ -107,8 +99,8 @@ func TestBudgetGenerousStateBytesKeepsDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Backend != BackendDense {
-		t.Fatalf("generous state budget demoted the backend to %v", res.Backend)
+	if !res.lazy {
+		t.Fatal("generous state budget demoted the run to the map state")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TestPerRunMonotoneMultiInstance checks PerRun is a cumulative (monotone
 // nondecreasing) series covering every chunk run of a multi-instance nest
 // (heat: the sequential row loop re-runs the parallel column loop per row,
-// so ParLevel > 0), on both backends.
+// so ParLevel > 0), on both per-thread states.
 func TestPerRunMonotoneMultiInstance(t *testing.T) {
 	kern, err := kernels.Heat(10, 512)
 	if err != nil {
@@ -19,30 +19,30 @@ func TestPerRunMonotoneMultiInstance(t *testing.T) {
 	if kern.Nest.ParLevel <= 0 {
 		t.Fatalf("heat ParLevel = %d, want > 0", kern.Nest.ParLevel)
 	}
-	for _, backend := range []StateBackend{BackendDense, BackendMap} {
-		res, err := Analyze(kern.Nest, Options{
+	for _, mapOnly := range []bool{false, true} {
+		res, err := evaluate(kern.Nest, Options{
 			Machine: machine.Paper48(), NumThreads: 4, Chunk: 1,
-			RecordPerRun: true, Backend: backend,
-		})
+			RecordPerRun: true,
+		}, mapOnly)
 		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+			t.Fatalf("mapOnly=%v: %v", mapOnly, err)
 		}
 		if res.Truncated {
-			t.Fatalf("%v: untruncated run reports Truncated", backend)
+			t.Fatalf("mapOnly=%v: untruncated run reports Truncated", mapOnly)
 		}
 		if res.ChunkRunsEvaluated != res.ChunkRunsTotal {
-			t.Fatalf("%v: evaluated %d of %d chunk runs", backend, res.ChunkRunsEvaluated, res.ChunkRunsTotal)
+			t.Fatalf("mapOnly=%v: evaluated %d of %d chunk runs", mapOnly, res.ChunkRunsEvaluated, res.ChunkRunsTotal)
 		}
 		if int64(len(res.PerRun)) != res.ChunkRunsEvaluated {
-			t.Fatalf("%v: len(PerRun) = %d, evaluated = %d", backend, len(res.PerRun), res.ChunkRunsEvaluated)
+			t.Fatalf("mapOnly=%v: len(PerRun) = %d, evaluated = %d", mapOnly, len(res.PerRun), res.ChunkRunsEvaluated)
 		}
 		for i := 1; i < len(res.PerRun); i++ {
 			if res.PerRun[i] < res.PerRun[i-1] {
-				t.Fatalf("%v: PerRun not monotone at %d: %v", backend, i, res.PerRun)
+				t.Fatalf("mapOnly=%v: PerRun not monotone at %d: %v", mapOnly, i, res.PerRun)
 			}
 		}
 		if last := res.PerRun[len(res.PerRun)-1]; last != res.FSCases {
-			t.Fatalf("%v: PerRun final %d != FSCases %d", backend, last, res.FSCases)
+			t.Fatalf("mapOnly=%v: PerRun final %d != FSCases %d", mapOnly, last, res.FSCases)
 		}
 	}
 }
@@ -65,46 +65,44 @@ func TestMaxChunkRunsTruncation(t *testing.T) {
 		t.Fatalf("test wants >= 8 chunk runs, total = %d", full.ChunkRunsTotal)
 	}
 
-	for _, backend := range []StateBackend{BackendDense, BackendMap} {
+	for _, mapOnly := range []bool{false, true} {
 		// Truncation strictly inside the run, crossing instance borders.
 		for _, maxRuns := range []int64{1, 3, full.ChunkRunsTotal / 2, full.ChunkRunsTotal - 1} {
 			opts := base
-			opts.Backend = backend
 			opts.MaxChunkRuns = maxRuns
-			res, err := Analyze(kern.Nest, opts)
+			res, err := evaluate(kern.Nest, opts, mapOnly)
 			if err != nil {
-				t.Fatalf("%v maxRuns=%d: %v", backend, maxRuns, err)
+				t.Fatalf("mapOnly=%v maxRuns=%d: %v", mapOnly, maxRuns, err)
 			}
 			if !res.Truncated {
-				t.Fatalf("%v maxRuns=%d: not truncated", backend, maxRuns)
+				t.Fatalf("mapOnly=%v maxRuns=%d: not truncated", mapOnly, maxRuns)
 			}
 			if res.ChunkRunsEvaluated != maxRuns {
-				t.Fatalf("%v maxRuns=%d: evaluated %d", backend, maxRuns, res.ChunkRunsEvaluated)
+				t.Fatalf("mapOnly=%v maxRuns=%d: evaluated %d", mapOnly, maxRuns, res.ChunkRunsEvaluated)
 			}
 			if int64(len(res.PerRun)) != maxRuns {
-				t.Fatalf("%v maxRuns=%d: len(PerRun) = %d", backend, maxRuns, len(res.PerRun))
+				t.Fatalf("mapOnly=%v maxRuns=%d: len(PerRun) = %d", mapOnly, maxRuns, len(res.PerRun))
 			}
 			for i, v := range res.PerRun {
 				if v != full.PerRun[i] {
-					t.Fatalf("%v maxRuns=%d: PerRun[%d] = %d, full has %d", backend, maxRuns, i, v, full.PerRun[i])
+					t.Fatalf("mapOnly=%v maxRuns=%d: PerRun[%d] = %d, full has %d", mapOnly, maxRuns, i, v, full.PerRun[i])
 				}
 			}
 		}
 		// MaxChunkRuns at or above the total must not truncate.
 		for _, maxRuns := range []int64{full.ChunkRunsTotal, full.ChunkRunsTotal + 5} {
 			opts := base
-			opts.Backend = backend
 			opts.MaxChunkRuns = maxRuns
-			res, err := Analyze(kern.Nest, opts)
+			res, err := evaluate(kern.Nest, opts, mapOnly)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Truncated {
-				t.Fatalf("%v maxRuns=%d: truncated with total %d", backend, maxRuns, full.ChunkRunsTotal)
+				t.Fatalf("mapOnly=%v maxRuns=%d: truncated with total %d", mapOnly, maxRuns, full.ChunkRunsTotal)
 			}
 			if res.ChunkRunsEvaluated != full.ChunkRunsTotal || res.FSCases != full.FSCases {
-				t.Fatalf("%v maxRuns=%d: evaluated %d FS %d, want %d/%d",
-					backend, maxRuns, res.ChunkRunsEvaluated, res.FSCases, full.ChunkRunsTotal, full.FSCases)
+				t.Fatalf("mapOnly=%v maxRuns=%d: evaluated %d FS %d, want %d/%d",
+					mapOnly, maxRuns, res.ChunkRunsEvaluated, res.FSCases, full.ChunkRunsTotal, full.FSCases)
 			}
 		}
 	}

@@ -31,62 +31,55 @@ func machineWithLine(t *testing.T, line int64) *machine.Desc {
 	return &d
 }
 
-// requireSameEval compares every externally observable field of an
-// interpreted and a compiled run except the Eval tag itself (and the
-// extrapolation echo fields, which only the compiled path can set).
-func requireSameEval(t *testing.T, label string, interp, comp *Result) {
+// requireMatchesRef compares every externally observable field of a
+// reference run and an Analyze run (except the extrapolation echo
+// fields, which only Analyze can set).
+func requireMatchesRef(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
-	if interp.Eval != EvalInterpreted {
-		t.Fatalf("%s: interpreted run reports eval %v", label, interp.Eval)
-	}
-	if comp.Eval != EvalCompiled {
-		t.Fatalf("%s: compiled run reports eval %v", label, comp.Eval)
-	}
 	type counters struct {
 		FSCases, Invalidations, Iterations, Steps, Accesses int64
 		ColdMisses, CapacityEvictions                       int64
 		ChunkRunsEvaluated, ChunkRunsTotal                  int64
 		Truncated                                           bool
 	}
-	i := counters{interp.FSCases, interp.Invalidations, interp.Iterations, interp.Steps, interp.Accesses,
-		interp.ColdMisses, interp.CapacityEvictions, interp.ChunkRunsEvaluated, interp.ChunkRunsTotal, interp.Truncated}
-	c := counters{comp.FSCases, comp.Invalidations, comp.Iterations, comp.Steps, comp.Accesses,
-		comp.ColdMisses, comp.CapacityEvictions, comp.ChunkRunsEvaluated, comp.ChunkRunsTotal, comp.Truncated}
-	if i != c {
-		t.Fatalf("%s: counters differ:\ninterpreted: %+v\ncompiled:    %+v", label, i, c)
+	r := counters{ref.FSCases, ref.Invalidations, ref.Iterations, ref.Steps, ref.Accesses,
+		ref.ColdMisses, ref.CapacityEvictions, ref.ChunkRunsEvaluated, ref.ChunkRunsTotal, ref.Truncated}
+	g := counters{got.FSCases, got.Invalidations, got.Iterations, got.Steps, got.Accesses,
+		got.ColdMisses, got.CapacityEvictions, got.ChunkRunsEvaluated, got.ChunkRunsTotal, got.Truncated}
+	if r != g {
+		t.Fatalf("%s: counters differ:\nreference: %+v\nanalyze:   %+v", label, r, g)
 	}
-	if !reflect.DeepEqual(interp.PerRun, comp.PerRun) {
-		t.Fatalf("%s: PerRun differs:\ninterpreted: %v\ncompiled:    %v", label, interp.PerRun, comp.PerRun)
+	if !reflect.DeepEqual(ref.PerRun, got.PerRun) {
+		t.Fatalf("%s: PerRun differs:\nreference: %v\nanalyze:   %v", label, ref.PerRun, got.PerRun)
 	}
-	if !reflect.DeepEqual(interp.ByRef, comp.ByRef) {
-		t.Fatalf("%s: ByRef differs:\ninterpreted: %+v\ncompiled:    %+v", label, interp.ByRef, comp.ByRef)
+	if !reflect.DeepEqual(ref.ByRef, got.ByRef) {
+		t.Fatalf("%s: ByRef differs:\nreference: %+v\nanalyze:   %+v", label, ref.ByRef, got.ByRef)
 	}
-	if !reflect.DeepEqual(interp.hotLines, comp.hotLines) {
-		t.Fatalf("%s: hot lines differ:\ninterpreted: %v\ncompiled:    %v", label, interp.hotLines, comp.hotLines)
+	if !reflect.DeepEqual(ref.hotLines, got.hotLines) {
+		t.Fatalf("%s: hot lines differ:\nreference: %v\nanalyze:   %v", label, ref.hotLines, got.hotLines)
 	}
 }
 
-// analyzeBothEvals runs the same options once under each forced evaluator.
-func analyzeBothEvals(t *testing.T, label string, nest *loopir.Nest, opts Options) (*Result, *Result) {
+// analyzeWithRef runs the reference and then the production evaluator
+// (on the map state when mapOnly, else on the state Analyze picks).
+func analyzeWithRef(t *testing.T, label string, nest *loopir.Nest, opts Options, mapOnly bool) (*Result, *Result) {
 	t.Helper()
-	opts.Eval = EvalInterpreted
-	interp, err := Analyze(nest, opts)
+	ref, err := analyzeRef(nest, opts)
 	if err != nil {
-		t.Fatalf("%s interpreted: %v", label, err)
+		t.Fatalf("%s reference: %v", label, err)
 	}
-	opts.Eval = EvalCompiled
-	comp, err := Analyze(nest, opts)
+	got, err := evaluate(nest, opts, mapOnly)
 	if err != nil {
-		t.Fatalf("%s compiled: %v", label, err)
+		t.Fatalf("%s analyze: %v", label, err)
 	}
-	return interp, comp
+	return ref, got
 }
 
-// TestCompiledMatchesInterpretedKernels is the tentpole's golden gate: on
-// every paper kernel, at chunks {1, 2, 8, L/8} and line sizes {64, 128},
-// under both counting modes, with per-run recording and hot-line tracking
-// on, the compiled access-run executor and the per-iteration interpreter
-// produce identical results in every field.
+// TestCompiledMatchesInterpretedKernels is the golden gate: on every
+// paper kernel, at chunks {1, 2, 8, L/8} and line sizes {64, 128}, under
+// both counting modes, with per-run recording and hot-line tracking on,
+// the compiled access-run executor and the per-iteration reference
+// interpreter produce identical results in every field.
 func TestCompiledMatchesInterpretedKernels(t *testing.T) {
 	nests := goldenKernels(t)
 	for _, line := range []int64{64, 128} {
@@ -103,8 +96,8 @@ func TestCompiledMatchesInterpretedKernels(t *testing.T) {
 						Machine: m, NumThreads: 8, Chunk: chunk,
 						Counting: mode, RecordPerRun: true, TrackHotLines: true,
 					}
-					interp, comp := analyzeBothEvals(t, label, nest, opts)
-					requireSameEval(t, label, interp, comp)
+					ref, got := analyzeWithRef(t, label, nest, opts, false)
+					requireMatchesRef(t, label, ref, got)
 				}
 			}
 		}
@@ -112,32 +105,52 @@ func TestCompiledMatchesInterpretedKernels(t *testing.T) {
 }
 
 // TestCompiledMatchesInterpretedSmallStack repeats the cross-check where
-// capacity evictions dominate, on both state backends: the compiled
-// executor must drive the map directory exactly like the dense one.
+// capacity evictions dominate: on the dense lazy state and on the map
+// state, and under the set-associative ablation (which always runs on the
+// map state), in both counting modes.
 func TestCompiledMatchesInterpretedSmallStack(t *testing.T) {
 	nests := goldenKernels(t)
 	for name, nest := range nests {
-		for _, depth := range []int{1, 2, 7} {
-			for _, backend := range []StateBackend{BackendDense, BackendMap} {
-				label := fmt.Sprintf("%s depth=%d backend=%v", name, depth, backend)
-				opts := Options{
-					Machine: machine.Paper48(), NumThreads: 4, Chunk: 1,
-					StackDepth: depth, Counting: CountMESI, Backend: backend,
-					RecordPerRun: true, TrackHotLines: true,
+		for _, mode := range []CountingMode{CountPaperPhi, CountMESI} {
+			base := Options{
+				Machine: machine.Paper48(), NumThreads: 4, Chunk: 1,
+				Counting: mode, RecordPerRun: true, TrackHotLines: true,
+			}
+			for _, depth := range []int{1, 2, 7} {
+				for _, mapOnly := range []bool{false, true} {
+					label := fmt.Sprintf("%s mode=%v depth=%d mapOnly=%v", name, mode, depth, mapOnly)
+					opts := base
+					opts.StackDepth = depth
+					ref, got := analyzeWithRef(t, label, nest, opts, mapOnly)
+					if got.lazy == mapOnly {
+						t.Fatalf("%s: ran lazy=%v", label, got.lazy)
+					}
+					requireMatchesRef(t, label, ref, got)
 				}
-				interp, comp := analyzeBothEvals(t, label, nest, opts)
-				requireSameEval(t, label, interp, comp)
+			}
+			for _, assoc := range []int64{2, 8} {
+				for _, depth := range []int{1, 7} {
+					label := fmt.Sprintf("%s mode=%v assoc=%d depth=%d", name, mode, assoc, depth)
+					opts := base
+					opts.StackDepth = depth
+					opts.Associativity = assoc
+					ref, got := analyzeWithRef(t, label, nest, opts, false)
+					if got.lazy {
+						t.Fatalf("%s: set-associative run used the lazy state", label)
+					}
+					requireMatchesRef(t, label, ref, got)
+				}
 			}
 		}
 	}
 }
 
-// corpusNests parses every mini-C source under testdata/ and
-// examples/lint/ and returns each of its loop nests.
+// corpusNests parses every mini-C source under testdata/, examples/lint/
+// and examples/tune/ and returns each of its loop nests.
 func corpusNests(t *testing.T) map[string]*loopir.Nest {
 	t.Helper()
 	out := map[string]*loopir.Nest{}
-	for _, dir := range []string{"../../testdata", "../../examples/lint"} {
+	for _, dir := range []string{"../../testdata", "../../examples/lint", "../../examples/tune"} {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +172,7 @@ func corpusNests(t *testing.T) map[string]*loopir.Nest {
 				t.Fatalf("%s: lower: %v", e.Name(), err)
 			}
 			for i, n := range unit.Nests {
-				out[fmt.Sprintf("%s#%d", e.Name(), i)] = n
+				out[fmt.Sprintf("%s/%s#%d", filepath.Base(dir), e.Name(), i)] = n
 			}
 		}
 	}
@@ -167,50 +180,86 @@ func corpusNests(t *testing.T) map[string]*loopir.Nest {
 }
 
 // TestCompiledMatchesInterpretedCorpus runs the differential gate over
-// every nest in the repository's source corpus. Nests the interpreter
-// rejects (symbolic bounds, no parallel loop) must be rejected by the
-// auto path identically; every nest it accepts must produce identical
-// counters compiled.
+// every nest in the repository's source corpus. Nests the reference
+// rejects (symbolic bounds, no parallel loop) must be rejected by Analyze
+// too; every nest it accepts must produce identical results.
 func TestCompiledMatchesInterpretedCorpus(t *testing.T) {
 	for _, chunk := range []int64{1, 8} {
 		for label, nest := range corpusNests(t) {
+			label := fmt.Sprintf("%s chunk=%d", label, chunk)
 			opts := Options{Machine: machine.Paper48(), NumThreads: 8, Chunk: chunk,
-				Counting: CountMESI, RecordPerRun: true}
-			opts.Eval = EvalInterpreted
-			interp, ierr := Analyze(nest, opts)
-			opts.Eval = EvalAuto
-			auto, aerr := Analyze(nest, opts)
-			if (ierr == nil) != (aerr == nil) {
-				t.Fatalf("%s chunk=%d: interpreted err=%v, auto err=%v", label, chunk, ierr, aerr)
+				Counting: CountMESI, RecordPerRun: true, TrackHotLines: true}
+			ref, rerr := analyzeRef(nest, opts)
+			got, gerr := Analyze(nest, opts)
+			if (rerr == nil) != (gerr == nil) {
+				t.Fatalf("%s: reference err=%v, analyze err=%v", label, rerr, gerr)
 			}
-			if ierr != nil {
+			if rerr != nil {
 				continue
 			}
-			if auto.Eval != EvalCompiled {
-				t.Errorf("%s chunk=%d: auto resolved to %v, want compiled", label, chunk, auto.Eval)
+			requireMatchesRef(t, label, ref, got)
+		}
+	}
+}
+
+// TestAnalyzeAcceptsEveryNest is the gate against uncompilable input:
+// with no second evaluator to fall back to, every paper kernel and every
+// nest of the source corpus analyzes without error, except the nests
+// whose structure the model cannot schedule at all.
+func TestAnalyzeAcceptsEveryNest(t *testing.T) {
+	rejected := map[string]bool{
+		"testdata/runtime_bounds.c#0": true, // loop bound unknown at compile time
+	}
+	nests := corpusNests(t)
+	for name, nest := range goldenKernels(t) {
+		nests["kernel/"+name] = nest
+	}
+	mm, err := kernels.MatMul(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nests["kernel/matmul"] = mm.Nest
+	for label, nest := range nests {
+		_, err := Analyze(nest, Options{Machine: machine.Paper48(), NumThreads: 8, Chunk: 1})
+		if rejected[label] {
+			if err == nil {
+				t.Errorf("%s: analyzed, want a rejection", label)
 			}
-			if interp.FSCases != auto.FSCases || interp.Accesses != auto.Accesses ||
-				interp.Iterations != auto.Iterations || interp.Steps != auto.Steps ||
-				interp.ColdMisses != auto.ColdMisses || interp.CapacityEvictions != auto.CapacityEvictions ||
-				interp.Invalidations != auto.Invalidations {
-				t.Fatalf("%s chunk=%d: counters differ:\ninterpreted: %+v\nauto:        %+v",
-					label, chunk, interp, auto)
-			}
-			if !reflect.DeepEqual(interp.PerRun, auto.PerRun) {
-				t.Fatalf("%s chunk=%d: PerRun differs", label, chunk)
-			}
-			if !reflect.DeepEqual(interp.ByRef, auto.ByRef) {
-				t.Fatalf("%s chunk=%d: ByRef differs", label, chunk)
-			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+	}
+}
+
+// TestAnalyzeRejectsInvalidMachine pins that a machine the access-run
+// compiler cannot lower is refused up front with an error, never run on a
+// second path.
+func TestAnalyzeRejectsInvalidMachine(t *testing.T) {
+	nest := goldenKernels(t)["heat"]
+	for _, tc := range []struct {
+		name string
+		edit func(d *machine.Desc)
+	}{
+		{"line size not a power of two", func(d *machine.Desc) {
+			d.LineSize = 48
+			d.L1.LineSize, d.L2.LineSize, d.L3.LineSize = 48, 48, 48
+		}},
+	} {
+		d := *machine.Paper48()
+		tc.edit(&d)
+		if _, err := Analyze(nest, Options{Machine: &d, NumThreads: 8, Chunk: 1}); err == nil {
+			t.Errorf("%s: Analyze accepted the machine", tc.name)
 		}
 	}
 }
 
 // TestBudgetStopsIdenticalAcrossEvals pins the run-batching budget
 // contract: the compiled executor amortizes its budget checks at the
-// same exact access boundaries as the interpreter, so a tripped MaxSteps
-// budget reports the identical Used count under both evaluators, and the
-// overshoot stays within one check interval.
+// same exact access boundaries as the per-access reference, so a tripped
+// MaxSteps budget reports the identical Used count on either state, and
+// the overshoot stays within one check interval.
 func TestBudgetStopsIdenticalAcrossEvals(t *testing.T) {
 	kern, err := kernels.Heat(16, 2048)
 	if err != nil {
@@ -222,50 +271,29 @@ func TestBudgetStopsIdenticalAcrossEvals(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Budget = guard.Budget{MaxSteps: full.Accesses / 2}
-	var used [2]int64
-	for i, eval := range []EvalMode{EvalInterpreted, EvalCompiled} {
-		opts.Eval = eval
-		_, err := Analyze(kern.Nest, opts)
+	runs := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"reference", func() (*Result, error) { return analyzeRef(kern.Nest, opts) }},
+		{"lazy", func() (*Result, error) { return evaluate(kern.Nest, opts, false) }},
+		{"map", func() (*Result, error) { return evaluate(kern.Nest, opts, true) }},
+	}
+	used := make([]int64, len(runs))
+	for i, r := range runs {
+		_, err := r.run()
 		var be *guard.BudgetError
 		if !errors.As(err, &be) || be.Resource != "steps" {
-			t.Fatalf("%v: err = %v, want *guard.BudgetError{steps}", eval, err)
+			t.Fatalf("%s: err = %v, want *guard.BudgetError{steps}", r.name, err)
 		}
 		if be.Used <= be.Limit || be.Used > be.Limit+budgetCheckEvery {
-			t.Fatalf("%v: stopped at %d for limit %d (interval %d)", eval, be.Used, be.Limit, budgetCheckEvery)
+			t.Fatalf("%s: stopped at %d for limit %d (interval %d)", r.name, be.Used, be.Limit, budgetCheckEvery)
 		}
 		used[i] = be.Used
 	}
-	if used[0] != used[1] {
-		t.Fatalf("evaluators stopped at different access counts: interpreted %d, compiled %d", used[0], used[1])
-	}
-}
-
-// TestEvalModeRoundTrip pins the CLI/service spelling of each mode and
-// that Result.Eval reports the evaluator that actually ran.
-func TestEvalModeRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EvalMode
-	}{{"", EvalAuto}, {"auto", EvalAuto}, {"compiled", EvalCompiled}, {"interpreted", EvalInterpreted}} {
-		got, err := EvalModeFromString(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("EvalModeFromString(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := EvalModeFromString("fancy"); err == nil {
-		t.Fatal("EvalModeFromString accepted an unknown mode")
-	}
-	nest := goldenKernels(t)["heat"]
-	for _, tc := range []struct {
-		eval EvalMode
-		want EvalMode
-	}{{EvalAuto, EvalCompiled}, {EvalCompiled, EvalCompiled}, {EvalInterpreted, EvalInterpreted}} {
-		res, err := Analyze(nest, Options{Machine: machine.Paper48(), NumThreads: 8, Eval: tc.eval})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Eval != tc.want {
-			t.Fatalf("eval=%v ran %v, want %v", tc.eval, res.Eval, tc.want)
+	for i := range runs[1:] {
+		if used[i+1] != used[0] {
+			t.Fatalf("%s stopped at %d accesses, the reference at %d", runs[i+1].name, used[i+1], used[0])
 		}
 	}
 }

@@ -76,7 +76,7 @@ func newExtrapolator(r *run) *extrapolator {
 	if parLevel < 0 {
 		parLevel = 0
 	}
-	// The warm-up guard below watches the lazy dense backend's occupancy.
+	// The warm-up guard below watches the lazy dense state's occupancy.
 	if r.lz == nil {
 		return nil
 	}

@@ -157,16 +157,17 @@ func TestExtrapolateRespectsTrackingModes(t *testing.T) {
 	nest := dftNest(768)(t)
 	base := Options{Machine: machine.Paper48(), NumThreads: 48, Chunk: 1, Extrapolate: true}
 	for _, tc := range []struct {
-		name string
-		mut  func(*Options)
+		name    string
+		mut     func(*Options)
+		mapOnly bool
 	}{
-		{"per-run", func(o *Options) { o.RecordPerRun = true }},
-		{"hot-lines", func(o *Options) { o.TrackHotLines = true }},
-		{"map-backend", func(o *Options) { o.Backend = BackendMap }},
+		{"per-run", func(o *Options) { o.RecordPerRun = true }, false},
+		{"hot-lines", func(o *Options) { o.TrackHotLines = true }, false},
+		{"map-backend", func(o *Options) {}, true},
 	} {
 		opts := base
 		tc.mut(&opts)
-		ex, err := Analyze(nest, opts)
+		ex, err := evaluate(nest, opts, tc.mapOnly)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -1,7 +1,7 @@
 package fsmodel
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/kernels"
@@ -10,7 +10,7 @@ import (
 )
 
 // goldenKernels loads the three paper kernels at reduced-but-nontrivial
-// scale for backend cross-checking.
+// scale for the differential tests.
 func goldenKernels(t *testing.T) map[string]*loopir.Nest {
 	t.Helper()
 	heat, err := kernels.Heat(12, 1024)
@@ -28,44 +28,11 @@ func goldenKernels(t *testing.T) map[string]*loopir.Nest {
 	return map[string]*loopir.Nest{"heat": heat.Nest, "dft": dft.Nest, "linreg": lr.Nest}
 }
 
-// requireIdentical compares every externally observable field of two
-// results except the Backend tag itself.
-func requireIdentical(t *testing.T, label string, dense, mapped *Result) {
-	t.Helper()
-	if dense.Backend != BackendDense {
-		t.Fatalf("%s: dense run used backend %v", label, dense.Backend)
-	}
-	if mapped.Backend != BackendMap {
-		t.Fatalf("%s: map run used backend %v", label, mapped.Backend)
-	}
-	type counters struct {
-		FSCases, Invalidations, Iterations, Steps, Accesses int64
-		ColdMisses, CapacityEvictions                       int64
-		ChunkRunsEvaluated, ChunkRunsTotal                  int64
-		Truncated                                           bool
-	}
-	d := counters{dense.FSCases, dense.Invalidations, dense.Iterations, dense.Steps, dense.Accesses,
-		dense.ColdMisses, dense.CapacityEvictions, dense.ChunkRunsEvaluated, dense.ChunkRunsTotal, dense.Truncated}
-	m := counters{mapped.FSCases, mapped.Invalidations, mapped.Iterations, mapped.Steps, mapped.Accesses,
-		mapped.ColdMisses, mapped.CapacityEvictions, mapped.ChunkRunsEvaluated, mapped.ChunkRunsTotal, mapped.Truncated}
-	if d != m {
-		t.Fatalf("%s: counters differ:\ndense: %+v\nmap:   %+v", label, d, m)
-	}
-	if !reflect.DeepEqual(dense.PerRun, mapped.PerRun) {
-		t.Fatalf("%s: PerRun differs:\ndense: %v\nmap:   %v", label, dense.PerRun, mapped.PerRun)
-	}
-	if !reflect.DeepEqual(dense.ByRef, mapped.ByRef) {
-		t.Fatalf("%s: ByRef differs:\ndense: %+v\nmap:   %+v", label, dense.ByRef, mapped.ByRef)
-	}
-	if !reflect.DeepEqual(dense.hotLines, mapped.hotLines) {
-		t.Fatalf("%s: hot lines differ:\ndense: %v\nmap:   %v", label, dense.hotLines, mapped.hotLines)
-	}
-}
-
-// TestBackendsBitIdentical is the golden cross-check the dense rewrite
-// must satisfy: on every paper kernel, under both counting modes, with FS
-// and FS-free chunks, with per-run recording and hot-line tracking on, the
-// dense and map backends produce identical results in every field.
+// TestBackendsBitIdentical is the golden cross-check of the two
+// per-thread state implementations: on every paper kernel, under both
+// counting modes, with FS and FS-free chunks, with per-run recording and
+// hot-line tracking on, Analyze on the dense lazy state and on the map
+// state each match the reference interpreter in every field.
 func TestBackendsBitIdentical(t *testing.T) {
 	nests := goldenKernels(t)
 	chunks := map[string][2]int64{
@@ -80,18 +47,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 					Machine: machine.Paper48(), NumThreads: 8, Chunk: chunk,
 					Counting: mode, RecordPerRun: true, TrackHotLines: true,
 				}
-				opts.Backend = BackendDense
-				dense, err := Analyze(nest, opts)
-				if err != nil {
-					t.Fatalf("%s chunk=%d mode=%v dense: %v", name, chunk, mode, err)
-				}
-				opts.Backend = BackendMap
-				mapped, err := Analyze(nest, opts)
-				if err != nil {
-					t.Fatalf("%s chunk=%d mode=%v map: %v", name, chunk, mode, err)
-				}
-				label := name
-				requireIdentical(t, label, dense, mapped)
+				requireStatesMatchRef(t, fmt.Sprintf("%s chunk=%d mode=%v", name, chunk, mode), nest, opts)
 			}
 		}
 	}
@@ -108,38 +64,42 @@ func TestBackendsIdenticalSmallStack(t *testing.T) {
 				Machine: machine.Paper48(), NumThreads: 4, Chunk: 1,
 				StackDepth: depth, Counting: CountMESI, RecordPerRun: true, TrackHotLines: true,
 			}
-			opts.Backend = BackendDense
-			dense, err := Analyze(nest, opts)
-			if err != nil {
-				t.Fatalf("%s depth=%d dense: %v", name, depth, err)
-			}
-			opts.Backend = BackendMap
-			mapped, err := Analyze(nest, opts)
-			if err != nil {
-				t.Fatalf("%s depth=%d map: %v", name, depth, err)
-			}
-			requireIdentical(t, name, dense, mapped)
+			requireStatesMatchRef(t, fmt.Sprintf("%s depth=%d", name, depth), nest, opts)
 		}
 	}
 }
 
-// TestAutoSelectsDenseOnPaperKernels checks the default backend resolves
-// to the dense path for every paper kernel (their symbol extents are
-// contiguous and comfortably within budget).
+// requireStatesMatchRef runs Analyze once on the dense lazy state and once
+// on the map state and holds each against the reference.
+func requireStatesMatchRef(t *testing.T, label string, nest *loopir.Nest, opts Options) {
+	t.Helper()
+	for _, mapOnly := range []bool{false, true} {
+		label := fmt.Sprintf("%s mapOnly=%v", label, mapOnly)
+		ref, got := analyzeWithRef(t, label, nest, opts, mapOnly)
+		if got.lazy == mapOnly {
+			t.Fatalf("%s: ran lazy=%v", label, got.lazy)
+		}
+		requireMatchesRef(t, label, ref, got)
+	}
+}
+
+// TestAutoSelectsDenseOnPaperKernels checks Analyze picks the dense lazy
+// state for every paper kernel (their symbol extents are contiguous and
+// comfortably within budget).
 func TestAutoSelectsDenseOnPaperKernels(t *testing.T) {
 	for name, nest := range goldenKernels(t) {
 		res, err := Analyze(nest, Options{Machine: machine.Paper48(), NumThreads: 8, Chunk: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Backend != BackendDense {
-			t.Errorf("%s: auto backend = %v, want dense", name, res.Backend)
+		if !res.lazy {
+			t.Errorf("%s: Analyze ran the map state, want the dense lazy state", name)
 		}
 	}
 }
 
 // TestSetAssocForcesMapBackend checks the set-associative ablation always
-// runs on the general path, and that requesting dense for it errors.
+// runs on the map state.
 func TestSetAssocForcesMapBackend(t *testing.T) {
 	nest := goldenKernels(t)["linreg"]
 	opts := Options{Machine: machine.Paper48(), NumThreads: 4, Chunk: 1, Associativity: 8}
@@ -147,18 +107,15 @@ func TestSetAssocForcesMapBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Backend != BackendMap {
-		t.Fatalf("set-assoc backend = %v, want map", res.Backend)
-	}
-	opts.Backend = BackendDense
-	if _, err := Analyze(nest, opts); err == nil {
-		t.Fatal("dense backend with set-assoc ablation should error")
+	if res.lazy {
+		t.Fatal("set-associative run used the dense lazy state, want the map state")
 	}
 }
 
 // TestDenseRangeFallsBackToMap drives an affine reference outside its
-// symbol's declared extent: the dense window cannot contain it, so the
-// auto path must restart on the map backend and still count correctly.
+// symbol's declared extent: the dense window cannot contain it, so
+// Analyze must restart on the map state and still count like the
+// reference.
 func TestDenseRangeFallsBackToMap(t *testing.T) {
 	src := `
 #define N 8
@@ -167,19 +124,10 @@ double a[N];
 for (i = 0; i < N; i++) a[i + 63] = 1.0;
 `
 	nest := loadNest(t, src)
-	res, err := Analyze(nest, Options{Machine: machine.Paper48()})
-	if err != nil {
-		t.Fatalf("auto: %v", err)
+	opts := Options{Machine: machine.Paper48(), RecordPerRun: true, TrackHotLines: true}
+	ref, res := analyzeWithRef(t, "out-of-extent", nest, opts, false)
+	if res.lazy {
+		t.Fatal("out-of-extent run finished on the dense lazy state, want the map fallback")
 	}
-	if res.Backend != BackendMap {
-		t.Fatalf("backend = %v, want map fallback", res.Backend)
-	}
-	forced, err := Analyze(nest, Options{Machine: machine.Paper48(), Backend: BackendMap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FSCases != forced.FSCases || res.Accesses != forced.Accesses {
-		t.Fatalf("fallback result differs from map run: %d/%d vs %d/%d",
-			res.FSCases, res.Accesses, forced.FSCases, forced.Accesses)
-	}
+	requireMatchesRef(t, "out-of-extent", ref, res)
 }

@@ -10,6 +10,7 @@ package minic_test
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,11 +21,15 @@ import (
 	"repro/internal/minic"
 )
 
+// corpusSource is one mini-C source and the path it was read from.
+type corpusSource struct{ path, src string }
+
 // corpusSources collects every mini-C source the repo ships: testdata/,
-// examples/**/*.c, and the checked-in fuzz corpora.
-func corpusSources(tb testing.TB) map[string]string {
+// examples/**/*.c, and the checked-in fuzz corpora, sorted by path so
+// callers see them in the same order on every run.
+func corpusSources(tb testing.TB) []corpusSource {
 	tb.Helper()
-	srcs := make(map[string]string)
+	var srcs []corpusSource
 	for _, pat := range []string{
 		filepath.Join("..", "..", "testdata", "*.c"),
 		filepath.Join("..", "..", "examples", "*", "*.c"),
@@ -38,7 +43,7 @@ func corpusSources(tb testing.TB) map[string]string {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			srcs[p] = string(data)
+			srcs = append(srcs, corpusSource{p, string(data)})
 		}
 	}
 	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*", "*"))
@@ -47,12 +52,13 @@ func corpusSources(tb testing.TB) map[string]string {
 	}
 	for _, p := range corpus {
 		if s, ok := decodeFuzzCorpus(p); ok {
-			srcs[p] = s
+			srcs = append(srcs, corpusSource{p, s})
 		}
 	}
 	if len(srcs) < 10 {
 		tb.Fatalf("suspiciously small corpus: %d sources", len(srcs))
 	}
+	sort.Slice(srcs, func(i, j int) bool { return srcs[i].path < srcs[j].path })
 	return srcs
 }
 
@@ -172,8 +178,8 @@ func checkRoundTrip(t *testing.T, name, src string) bool {
 
 func TestPrintRoundTripCorpus(t *testing.T) {
 	parsed := 0
-	for name, src := range corpusSources(t) {
-		if checkRoundTrip(t, name, src) {
+	for _, cs := range corpusSources(t) {
+		if checkRoundTrip(t, cs.path, cs.src) {
 			parsed++
 		}
 	}
@@ -257,13 +263,15 @@ func TestPrintWithHeader(t *testing.T) {
 	}
 }
 
-// FuzzPrintRoundTrip is the satellite fuzz target: any input that parses
+// FuzzPrintRoundTrip is the printer's fuzz target: any input that parses
 // must print to source that re-parses, is a Print fixed point, and lowers
-// identically.
+// identically. Its seeds are the corpus sources that parse, in path
+// order, so seed#N names the same input on every run.
 func FuzzPrintRoundTrip(f *testing.F) {
-	for name, src := range corpusSources(f) {
-		_ = name
-		f.Add(src)
+	for _, cs := range corpusSources(f) {
+		if _, err := minic.Parse(cs.src); err == nil {
+			f.Add(cs.src)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p1, err := minic.Parse(src)

@@ -47,7 +47,7 @@ const (
 // non-owner's breaker state says nothing about it. A request that
 // already took its one forwarding hop bypasses routing and is served
 // locally (the hop guard).
-func (s *Server) guarded(ctx context.Context, endpoint, key string, route *clusterRoute, eval func(context.Context) ([]byte, string, error), degrade func(reason string) ([]byte, error)) (body []byte, source string, err error) {
+func (s *Server) guarded(ctx context.Context, endpoint, key string, route *clusterRoute, eval func(context.Context) ([]byte, error), degrade func(reason string) ([]byte, error)) (body []byte, source string, err error) {
 	if s.cluster != nil && route != nil && !route.forwarded {
 		if h := s.cluster.route(ctx, endpoint, key, route, degrade); h != nil {
 			return h.body, h.source, h.err

@@ -107,11 +107,6 @@ type Config struct {
 	// BreakerProbeFraction is the fraction of requests admitted while
 	// half-open (0 = default 0.25).
 	BreakerProbeFraction float64
-	// EvalMode selects the model's evaluation pipeline for every request
-	// ("", "auto", "compiled", "interpreted"; the -eval flag). It is part
-	// of each request's cache key; an unknown spelling fails evaluations,
-	// so CLIs validate it at startup.
-	EvalMode string
 	// Extrapolate enables the steady-state chunk-run closure on eligible
 	// uniform loops (exact totals, surfaced as "extrapolated" in the
 	// response).

@@ -106,6 +106,9 @@ func TestAnalyzeSource(t *testing.T) {
 	if len(resp.Victims) != 1 || resp.Victims[0].Symbol != "a" {
 		t.Errorf("victims = %+v", resp.Victims)
 	}
+	if resp.Extrapolated {
+		t.Error("extrapolated without Config.Extrapolate")
+	}
 
 	// Same request again: served from cache, byte-identical.
 	w2 := post(t, s, "/v1/analyze", AnalyzeRequest{Source: victimSrc, Recommend: true})
@@ -344,50 +347,6 @@ func TestKernelsEndpoint(t *testing.T) {
 	}
 }
 
-func TestAnalyzeEvalModeField(t *testing.T) {
-	for _, tc := range []struct {
-		cfgMode string
-		want    string
-	}{
-		{"", "compiled"},     // auto resolves to the plan compiler
-		{"auto", "compiled"}, // explicit spelling, same resolution
-		{"compiled", "compiled"},
-		{"interpreted", "interpreted"},
-	} {
-		s := newTestServer(t, Config{EvalMode: tc.cfgMode})
-		w := post(t, s, "/v1/analyze", AnalyzeRequest{Source: victimSrc})
-		if w.Code != 200 {
-			t.Fatalf("cfg %q: status = %d: %s", tc.cfgMode, w.Code, w.Body.String())
-		}
-		resp := decodeAnalyze(t, w)
-		if resp.EvalMode != tc.want {
-			t.Errorf("cfg %q: eval_mode = %q, want %q", tc.cfgMode, resp.EvalMode, tc.want)
-		}
-		if resp.Extrapolated {
-			t.Errorf("cfg %q: extrapolated without the server flag", tc.cfgMode)
-		}
-	}
-}
-
-func TestEvalModePartOfCacheKey(t *testing.T) {
-	// The same request against servers in different eval modes must not
-	// share canonical keys: a shared external cache keyed on our key
-	// would otherwise mix pipelines.
-	sc := newTestServer(t, Config{EvalMode: "compiled"})
-	si := newTestServer(t, Config{EvalMode: "interpreted"})
-	rc, err := sc.resolve(AnalyzeRequest{Source: victimSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri, err := si.resolve(AnalyzeRequest{Source: victimSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.key == ri.key {
-		t.Fatal("compiled and interpreted requests share a cache key")
-	}
-}
-
 func TestPprofMount(t *testing.T) {
 	on := newTestServer(t, Config{EnablePprof: true})
 	if w := get(t, on, "/debug/pprof/"); w.Code != 200 {
@@ -413,7 +372,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fsserve_requests_total{endpoint="/v1/analyze",code="200"} 1`,
 		"fsserve_evaluations_total 1",
 		"fsserve_cache_entries 1",
-		`fsserve_eval_seconds_count{endpoint="analyze",mode="compiled"} 1`,
+		`fsserve_eval_seconds_count{endpoint="analyze"} 1`,
 	} {
 		if !strings.Contains(w.Body.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, w.Body.String())
