@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/guard"
 	"repro/internal/kernels"
@@ -102,6 +103,34 @@ func TestBudgetGenerousStateBytesKeepsDense(t *testing.T) {
 	if !res.lazy {
 		t.Fatal("generous state budget demoted the run to the map state")
 	}
+}
+
+// TestDenseStateBytesMatchesAllocation pins the dense state's budget
+// charge to what newRun allocates for it: the directory plus every slice
+// of the lazy state, for stacks that evict and stacks that never do.
+func TestDenseStateBytesMatchesAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		span    int64
+		threads int
+		depth   int
+	}{
+		{100, 1, 0}, {100, 8, 16}, {100, 8, 100}, {100, 8, 200},
+		{1000, 3, 999}, {5000, 48, 0}, {5000, 48, 1024},
+	} {
+		lz := newLazyState(tc.span, tc.threads, tc.depth)
+		alloc := tc.span*int64(unsafe.Sizeof(dirEntry{})) +
+			sliceBytes(lz.stamp) + sliceBytes(lz.ring) + sliceBytes(lz.clock) +
+			sliceBytes(lz.live) + sliceBytes(lz.head) + sliceBytes(lz.tail)
+		if got := denseStateBytes(tc.span, tc.threads, tc.depth); got != alloc {
+			t.Errorf("span=%d threads=%d depth=%d: charged %d bytes, allocated %d",
+				tc.span, tc.threads, tc.depth, got, alloc)
+		}
+	}
+}
+
+func sliceBytes[E any](s []E) int64 {
+	var e E
+	return int64(len(s)) * int64(unsafe.Sizeof(e))
 }
 
 func TestBudgetDeadline(t *testing.T) {

@@ -51,9 +51,28 @@ type lazyState struct {
 // resident line look stale to eviction.
 const lazyMod = int32(1) << 30
 
+// lazySpanStride is a thread's stamp-region length for a span-line window:
+// spanStride*4 ≡ 64 (mod 4096), i.e. spanStride ≡ 16 (mod 1024).
+func lazySpanStride(span int64) int64 {
+	return span + ((16-span)%1024+1024)%1024
+}
+
+// lazyEvicts reports whether a stack of stackDepth lines over a span-line
+// window can evict: a non-positive or span-covering capacity never does,
+// so it needs no recency bookkeeping at all.
+func lazyEvicts(span int64, stackDepth int) bool {
+	return stackDepth > 0 && int64(stackDepth) < span
+}
+
+// lazyRingLen is a thread's recency-log length for a capacity of
+// stackDepth lines: ringLen*8 ≡ 64 (mod 4096), i.e. ringLen ≡ 8 (mod 512).
+func lazyRingLen(stackDepth int) int64 {
+	rl := int64(4*stackDepth + 64)
+	return rl + ((8-rl)%512+512)%512
+}
+
 func newLazyState(span int64, threads, stackDepth int) *lazyState {
-	// spanStride*4 ≡ 64 (mod 4096): spanStride ≡ 16 (mod 1024).
-	spanStride := span + ((16-span)%1024+1024)%1024
+	spanStride := lazySpanStride(span)
 	s := &lazyState{
 		threads:    threads,
 		span:       span,
@@ -61,15 +80,11 @@ func newLazyState(span int64, threads, stackDepth int) *lazyState {
 		stamp:      make([]int32, spanStride*int64(threads)),
 	}
 	adviseHuge(unsafe.Pointer(&s.stamp[0]), uintptr(len(s.stamp))*4)
-	// A non-positive or span-covering capacity never evicts, so no
-	// recency bookkeeping is needed at all.
-	if stackDepth > 0 && int64(stackDepth) < span {
+	if lazyEvicts(span, stackDepth) {
 		s.cap = int32(stackDepth)
 		s.clock = make([]int32, threads)
 		s.live = make([]int32, threads)
-		// ringLen*8 ≡ 64 (mod 4096): ringLen ≡ 8 (mod 512).
-		rl := int64(4*stackDepth + 64)
-		s.ringLen = rl + ((8-rl)%512+512)%512
+		s.ringLen = lazyRingLen(stackDepth)
 		s.ring = make([]uint64, s.ringLen*int64(threads))
 		adviseHuge(unsafe.Pointer(&s.ring[0]), uintptr(len(s.ring))*8)
 		s.head = make([]int64, threads)

@@ -432,18 +432,20 @@ func denseExtent(nest *loopir.Nest, lineSize int64) (firstLine, span int64, ok b
 	return firstLine, span, true
 }
 
-// denseStateBytes is the size the dense state is budgeted at for a
-// window of span lines: the directory slice plus per-thread line-indexed
-// and capacity-indexed arrays. It decides, with denseFits and the
+// denseStateBytes is the size of the dense state newRun allocates for a
+// window of span lines: the directory slice, each thread's stamp region
+// and, when the stack can evict, each thread's recency ring plus its
+// clock, live-count and ring cursors. It decides, with denseFits and the
 // caller's MaxStateBytes, which state a run uses, and it is the Used
 // value of a state-bytes BudgetError on the dense state, so changing it
 // changes results.
 func denseStateBytes(span int64, threads int, stackDepth int) int64 {
-	cap := span
-	if stackDepth > 0 && int64(stackDepth) < span {
-		cap = int64(stackDepth)
+	t := int64(threads)
+	bytes := span*int64(unsafe.Sizeof(dirEntry{})) + t*lazySpanStride(span)*4
+	if lazyEvicts(span, stackDepth) {
+		bytes += t * (lazyRingLen(stackDepth)*8 + 4 + 4 + 8 + 8)
 	}
-	return span*16 + int64(threads)*(span*4+cap*14)
+	return bytes
 }
 
 // denseFits reports whether a dense window of span lines stays inside the

@@ -346,6 +346,14 @@ func TestClusterPushWarmsReplica(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The pusher counts a push only after it reads the replica's 204,
+	// which can trail the replica's cache write.
+	for nodes[0].svc.Metrics().ClusterFillPushes.Value() == 0 {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if n := nodes[0].svc.Metrics().ClusterFillPushes.Value(); n != 1 {
 		t.Errorf("pushes = %d, want 1", n)
 	}

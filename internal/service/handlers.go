@@ -318,8 +318,9 @@ func (s *Server) serveCached(ctx context.Context, endpoint, key string, eval fun
 }
 
 // evaluate runs the full pipeline for one resolved request: parse →
-// analyze → Equation 1 cost → optional chunk recommendation, under the
-// configured evaluation budget and the request deadline.
+// analyze (one model run, priced with Equation 1) → optional chunk
+// recommendation, under the configured evaluation budget and the request
+// deadline.
 func (s *Server) evaluate(ctx context.Context, rr resolved) (*AnalyzeResponse, error) {
 	if err := faultinject.Fire("service.evaluate"); err != nil {
 		return nil, err
@@ -344,10 +345,9 @@ func (s *Server) evaluate(ctx context.Context, rr resolved) (*AnalyzeResponse, e
 		return nil, badRequestf("nest %d has loop bounds unknown at compile time (%v); the service analyzes constant-bound nests", rr.req.Nest, info.SymbolicParams)
 	}
 	a, err := prog.Analyze(rr.req.Nest, rr.opts)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = a.CostErr
 	}
-	cost, err := prog.EstimateCost(rr.req.Nest, rr.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +361,7 @@ func (s *Server) evaluate(ctx context.Context, rr resolved) (*AnalyzeResponse, e
 		FSPerIteration: a.FSPerIteration,
 		ChunkRuns:      a.ChunkRuns,
 		Extrapolated:   a.Extrapolated,
-		TotalCycles:    cost.TotalWallCycles,
+		TotalCycles:    a.Cost.TotalWallCycles,
 		Victims:        a.Victims,
 		HotLines:       a.HotLines,
 		SkippedRefs:    a.SkippedRefs,

@@ -148,7 +148,7 @@ type Options struct {
 // CanonicalKey returns a deterministic, unambiguous encoding of every
 // option field that can affect an analysis result. Two Options values with
 // equal keys produce identical results from Analyze, AnalyzeRate, Predict,
-// Simulate, EstimateCost, RecommendChunk and EvaluatePadding, so the key
+// Simulate, RecommendChunk and EvaluatePadding, so the key
 // (combined with the source text) is a sound content address for caching
 // model results. Jobs is deliberately excluded: it changes only how work
 // is scheduled, never what is computed. Budget is excluded for the same
@@ -262,6 +262,25 @@ type Analysis struct {
 	// Extrapolated reports that the steady-state closure produced the
 	// totals from a simulated prefix (Options.Extrapolate).
 	Extrapolated bool
+	// Cost is Equation 1 priced from the same model run that produced
+	// FSCases: the base cost models plus the FS term.
+	Cost CostReport
+	// CostErr is non-nil when the base cost models could not price the
+	// nest; Cost and FSShare are then zero. Callers that need the price
+	// treat it as the analysis failing.
+	CostErr error
+}
+
+// CostReport is the Open64-style cost breakdown (Equation 1) for one nest.
+type CostReport struct {
+	MachinePerIter      float64
+	CachePerIter        float64
+	TLBPerIter          float64
+	LoopOverheadPerIter float64
+	ParallelOverhead    float64
+	BaseWallCycles      float64
+	TotalWallCycles     float64 // including the FS term
+	FSCycles            float64
 }
 
 // HotLine is one contended cache line, resolved to the symbol holding it.
@@ -279,7 +298,8 @@ type Victim struct {
 	FSCases int64
 }
 
-// Analyze runs the FS cost model on nest i.
+// Analyze runs the FS cost model on nest i once and prices its answer
+// with Equation 1 (Analysis.Cost).
 func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
 	n, err := p.nest(i)
 	if err != nil {
@@ -315,13 +335,26 @@ func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
 	for _, h := range res.HotLines(n, m.LineSize, 10) {
 		a.HotLines = append(a.HotLines, HotLine{Symbol: h.Symbol, Offset: h.Offset, FSCases: h.FSCases})
 	}
-	if base, err := costmodel.Estimate(n, m, res.Plan); err == nil {
-		coher := float64(m.CoherenceLatency)
-		totalWork := base.PerIter()*float64(base.TotalIterations) + base.ParallelOverhead
-		fsWork := float64(res.FSCases) * coher
-		if totalWork+fsWork > 0 {
-			a.FSShare = fsWork / (totalWork + fsWork)
-		}
+	base, err := costmodel.Estimate(n, m, res.Plan)
+	if err != nil {
+		a.CostErr = err
+		return a, nil
+	}
+	total := base.TotalWithFS(res.FSCases, m, res.Plan.NumThreads)
+	a.Cost = CostReport{
+		MachinePerIter:      base.MachinePerIter,
+		CachePerIter:        base.CachePerIter,
+		TLBPerIter:          base.TLBPerIter,
+		LoopOverheadPerIter: base.LoopOverheadPerIter,
+		ParallelOverhead:    base.ParallelOverhead,
+		BaseWallCycles:      base.BaseWallCycles,
+		TotalWallCycles:     total,
+		FSCycles:            total - base.BaseWallCycles,
+	}
+	totalWork := base.PerIter()*float64(base.TotalIterations) + base.ParallelOverhead
+	fsWork := float64(res.FSCases) * float64(m.CoherenceLatency)
+	if totalWork+fsWork > 0 {
+		a.FSShare = fsWork / (totalWork + fsWork)
 	}
 	return a, nil
 }
@@ -459,55 +492,6 @@ func (p *Program) Simulate(i int, opts Options) (*SimReport, error) {
 	}, nil
 }
 
-// CostReport is the Open64-style cost breakdown (Equation 1) for one nest.
-type CostReport struct {
-	MachinePerIter      float64
-	CachePerIter        float64
-	TLBPerIter          float64
-	LoopOverheadPerIter float64
-	ParallelOverhead    float64
-	BaseWallCycles      float64
-	TotalWallCycles     float64 // including the FS term
-	FSCycles            float64
-}
-
-// EstimateCost evaluates Equation 1 for nest i, combining the base cost
-// models with the FS model.
-func (p *Program) EstimateCost(i int, opts Options) (*CostReport, error) {
-	n, err := p.nest(i)
-	if err != nil {
-		return nil, err
-	}
-	m := opts.Machine.resolve()
-	res, err := fsmodel.Analyze(n, fsmodel.Options{
-		Machine:     m,
-		NumThreads:  opts.Threads,
-		Chunk:       opts.Chunk,
-		StackDepth:  opts.StackDepth,
-		Counting:    opts.counting(),
-		Budget:      opts.Budget,
-		Extrapolate: opts.Extrapolate,
-	})
-	if err != nil {
-		return nil, err
-	}
-	base, err := costmodel.Estimate(n, m, res.Plan)
-	if err != nil {
-		return nil, err
-	}
-	total := base.TotalWithFS(res.FSCases, m, res.Plan.NumThreads)
-	return &CostReport{
-		MachinePerIter:      base.MachinePerIter,
-		CachePerIter:        base.CachePerIter,
-		TLBPerIter:          base.TLBPerIter,
-		LoopOverheadPerIter: base.LoopOverheadPerIter,
-		ParallelOverhead:    base.ParallelOverhead,
-		BaseWallCycles:      base.BaseWallCycles,
-		TotalWallCycles:     total,
-		FSCycles:            total - base.BaseWallCycles,
-	}, nil
-}
-
 // ChunkRecommendation is the model-guided schedule choice (the paper's
 // envisioned compiler use: pick the chunk size that minimizes Total_c).
 type ChunkRecommendation struct {
@@ -547,15 +531,14 @@ func (p *Program) RecommendChunkCtx(ctx context.Context, i int, opts Options, ca
 		c := candidates[idx]
 		o := opts
 		o.Chunk = c
-		cost, err := p.EstimateCost(i, o)
+		a, err := p.Analyze(i, o)
+		if err == nil {
+			err = a.CostErr
+		}
 		if err != nil {
 			return ChunkCandidate{}, fmt.Errorf("repro: chunk %d: %w", c, err)
 		}
-		a, err := p.Analyze(i, o)
-		if err != nil {
-			return ChunkCandidate{}, err
-		}
-		return ChunkCandidate{Chunk: c, FSCases: a.FSCases, TotalCycles: cost.TotalWallCycles}, nil
+		return ChunkCandidate{Chunk: c, FSCases: a.FSCases, TotalCycles: a.Cost.TotalWallCycles}, nil
 	})
 	if err != nil {
 		return nil, err

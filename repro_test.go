@@ -135,15 +135,21 @@ func TestPredictEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEstimateCost pins Equation 1 as Analyze prices it (Analysis.Cost):
+// the FS term is present under false sharing and zero without it.
 func TestEstimateCost(t *testing.T) {
 	prog, err := Parse(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := prog.EstimateCost(0, Options{})
+	a, err := prog.Analyze(0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if a.CostErr != nil {
+		t.Fatal(a.CostErr)
+	}
+	c := a.Cost
 	if c.TotalWallCycles <= c.BaseWallCycles {
 		t.Fatal("FS term missing from Total_c")
 	}
@@ -151,10 +157,14 @@ func TestEstimateCost(t *testing.T) {
 		t.Fatalf("cost report degenerate: %+v", c)
 	}
 	// Without FS, total == base.
-	c8, err := prog.EstimateCost(0, Options{Chunk: 8})
+	a8, err := prog.Analyze(0, Options{Chunk: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if a8.CostErr != nil {
+		t.Fatal(a8.CostErr)
+	}
+	c8 := a8.Cost
 	if c8.FSCycles != 0 {
 		t.Fatalf("chunk=8 FS cycles = %f", c8.FSCycles)
 	}
